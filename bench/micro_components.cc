@@ -525,7 +525,9 @@ BENCHMARK(BM_SimulatedClusterSecondTelemetry);
 /// cluster per iteration, executed on T shards. The topology is fixed
 /// across T so items/sec compares directly; T:1 is the serial engine
 /// (the parallel engine's differential reference), T>1 the conservative
-/// windowed engine. Reported as BM_SimulatedClusterSecond/T:N.
+/// windowed engine. Reported as BM_SimulatedClusterSecond/T:N. Timed
+/// in real time: with T > 1 the main thread mostly parks while workers
+/// run, so a CPU-time rate would credit the parked thread, not the run.
 void BM_SimulatedClusterSecondThreads(benchmark::State& state) {
   log::set_level(log::Level::kOff);
   harness::ClusterOptions options;
@@ -558,7 +560,8 @@ BENCHMARK(BM_SimulatedClusterSecondThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Arg(8);
+    ->Arg(8)
+    ->UseRealTime();
 
 /// Geo twin of the thread-scaling series: bench::geo_topology()'s four
 /// WAN-separated regions on region-affine shards. Cross-shard lookahead
@@ -566,7 +569,8 @@ BENCHMARK(BM_SimulatedClusterSecondThreads)
 /// tens of virtual milliseconds per window — the workload the matrix
 /// exists for. Reported as BM_SimulatedClusterSecondGeo/T:N; the name
 /// substring-matches CI's perf-smoke --benchmark_filter, and the T:4
-/// point is a gated key in tools/perf-smoke/compare.py.
+/// point is a gated key in tools/perf-smoke/compare.py. Timed in real
+/// time, like the flat series.
 void BM_SimulatedClusterSecondGeoThreads(benchmark::State& state) {
   log::set_level(log::Level::kOff);
   harness::ClusterOptions options;
@@ -585,7 +589,8 @@ BENCHMARK(BM_SimulatedClusterSecondGeoThreads)
     ->Name("BM_SimulatedClusterSecondGeo")
     ->ArgName("T")
     ->Arg(1)
-    ->Arg(4);
+    ->Arg(4)
+    ->UseRealTime();
 
 }  // namespace
 
@@ -618,7 +623,7 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       if (run.run_type == Run::RT_Iteration && run.repetitions > 1) {
         // One repetition of a repeated benchmark: fold into the _min
         // entry instead of emitting a duplicate per-rep key.
-        const std::string name = run.benchmark_name() + "_min";
+        const std::string name = key_of(run) + "_min";
         auto [it, fresh] = min_index_.try_emplace(name, entries_.size());
         if (fresh) {
           entries_.push_back({name, ns, 0.0});
@@ -628,7 +633,7 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
         continue;
       }
       Entry e;
-      e.name = run.benchmark_name();
+      e.name = key_of(run);
       e.ns_per_op = ns;
       auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) e.events_per_second = it->second.value;
@@ -652,6 +657,18 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
   }
 
  private:
+  /// The JSON key: the benchmark name without Google Benchmark's
+  /// "/real_time" segment, so families that report wall-clock rates
+  /// (UseRealTime) keep the keys perf-smoke gates and EXPERIMENTS.md
+  /// quote.
+  static std::string key_of(const Run& run) {
+    benchmark::BenchmarkName name = run.run_name;
+    name.time_type.clear();
+    std::string key = name.str();
+    if (run.run_type == Run::RT_Aggregate) key += "_" + run.aggregate_name;
+    return key;
+  }
+
   struct Entry {
     std::string name;
     double ns_per_op = 0.0;

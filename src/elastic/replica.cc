@@ -134,7 +134,7 @@ void Replica::on_crash() {
 
 void Replica::on_deliver(const Command& cmd, StreamId stream) {
   if (config_.dedup_deliveries) {
-    if (!seen_ids_.insert(cmd.id).second) {
+    if (!seen_.insert(cmd.id)) {
       // Duplicate ordering (client re-send): execution is suppressed but
       // the acknowledgment is re-sent. The duplicate exists precisely
       // because the client saw no reply for the first ordering; staying
@@ -146,12 +146,6 @@ void Replica::on_deliver(const Command& cmd, StreamId stream) {
         send(cmd.client, net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0));
       }
       return;
-    }
-    seen_order_.push_back(cmd.id);
-    constexpr size_t kSeenWindow = 1 << 17;
-    if (seen_order_.size() > kSeenWindow) {
-      seen_ids_.erase(seen_order_.front());
-      seen_order_.pop_front();
     }
   }
   const Tick apply_cost =

@@ -12,16 +12,15 @@
 // replica adds request execution and multi-partition signals).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "elastic/elastic_merger.h"
 #include "multicast/messages.h"
 #include "paxos/learner.h"
 #include "paxos/stream_directory.h"
 #include "sim/process.h"
+#include "util/id_window.h"
 #include "util/timeseries.h"
 
 namespace epx::elastic {
@@ -47,6 +46,10 @@ class Replica : public sim::Process {
     /// group because every member sees the same merged sequence.
     bool dedup_deliveries = true;
   };
+
+  /// Delivery dedup remembers this many most recent first-seen command
+  /// ids; a duplicate ordered after more other deliveries executes again.
+  static constexpr size_t kSeenWindow = size_t{1} << 17;
 
   /// Application execution hook, called in merged delivery order.
   using AppHandler = std::function<void(const Command&, StreamId)>;
@@ -128,8 +131,7 @@ class Replica : public sim::Process {
   obs::Counter* delivered_bytes_;
   std::vector<obs::Counter*> per_stream_delivered_;
 
-  std::set<uint64_t> seen_ids_;
-  std::deque<uint64_t> seen_order_;
+  util::IdWindow seen_{kSeenWindow};  // last kSeenWindow first-seen command ids
   bool pump_pending_ = false;  // merger pump deferred to on_batch_end
 };
 

@@ -9,7 +9,11 @@ LoadClient::LoadClient(sim::Simulation* sim, sim::Network* net, NodeId id,
                        Config config)
     : Process(sim, net, id, std::move(name)),
       directory_(directory),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      retry_(this, config_.retry_timeout, [this](size_t thread_index) {
+        retries_->add(now());
+        send_current(threads_[thread_index].cmd);  // route re-evaluated
+      }) {
   const obs::Labels labels{{"node", this->name()}};
   latency_ = &metrics().timer("client.latency", labels);
   completions_ = &metrics().counter("client.completions", labels);
@@ -29,8 +33,7 @@ void LoadClient::start() {
 
 void LoadClient::stop() {
   running_ = false;
-  inflight_.clear();
-  commands_.clear();
+  retry_.clear();
 }
 
 void LoadClient::issue(size_t thread_index) {
@@ -47,17 +50,13 @@ void LoadClient::issue(size_t thread_index) {
   cmd.client = id();
 
   ThreadState& t = threads_[thread_index];
-  t.current_cmd = cmd_id;
+  t.cmd = std::move(cmd);
   t.sent_at = now();
-  t.outstanding = true;
-  inflight_[cmd_id] = thread_index;
-  commands_[cmd_id] = cmd;
-  send_current(thread_index, cmd);
-  arm_timeout(thread_index, cmd_id);
+  retry_.track(thread_index, cmd_id);
+  send_current(t.cmd);
 }
 
-void LoadClient::send_current(size_t thread_index, const paxos::Command& cmd) {
-  (void)thread_index;
+void LoadClient::send_current(const paxos::Command& cmd) {
   const StreamId stream = config_.route();
   if (!directory_->has(stream)) return;
   if (spans().enabled()) {
@@ -69,31 +68,15 @@ void LoadClient::send_current(size_t thread_index, const paxos::Command& cmd) {
        net::make_message<paxos::ClientProposeMsg>(stream, cmd));
 }
 
-void LoadClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
-  after(config_.retry_timeout, [this, thread_index, cmd_id] {
-    if (!running_) return;
-    ThreadState& t = threads_[thread_index];
-    if (!t.outstanding || t.current_cmd != cmd_id) return;
-    retries_->add(now());
-    auto it = commands_.find(cmd_id);
-    if (it == commands_.end()) return;
-    send_current(thread_index, it->second);  // route re-evaluated
-    arm_timeout(thread_index, cmd_id);
-  });
-}
-
 void LoadClient::on_message(NodeId from, const MessagePtr& msg) {
   (void)from;
   if (msg->type() != net::MsgType::kKvReply) return;
   const auto& reply = static_cast<const multicast::ReplyMsg&>(*msg);
-  auto it = inflight_.find(reply.command_id);
-  if (it == inflight_.end()) return;  // duplicate reply from another replica
-  const size_t thread_index = it->second;
-  inflight_.erase(it);
-  commands_.erase(reply.command_id);
+  const size_t thread_index = retry_.slot_of(reply.command_id);
+  if (thread_index == sim::RetrySweep::kNoSlot) return;  // duplicate reply, or stopped
+  retry_.settle(reply.command_id);
 
   ThreadState& t = threads_[thread_index];
-  t.outstanding = false;
   const Tick latency = now() - t.sent_at;
   latency_->record(now(), latency);
   completions_->add(now());

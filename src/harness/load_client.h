@@ -10,12 +10,12 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 
 #include "multicast/messages.h"
 #include "paxos/messages.h"
 #include "paxos/stream_directory.h"
 #include "sim/process.h"
+#include "sim/retry_sweep.h"
 #include "util/histogram.h"
 #include "util/timeseries.h"
 
@@ -60,25 +60,23 @@ class LoadClient : public sim::Process {
 
  protected:
   void on_message(NodeId from, const MessagePtr& msg) override;
+  void on_crash() override { retry_.on_owner_crash(); }
 
  private:
   struct ThreadState {
-    uint64_t current_cmd = 0;
+    paxos::Command cmd;  // the outstanding command, kept for re-sends
     Tick sent_at = 0;
-    bool outstanding = false;
   };
 
   void issue(size_t thread_index);
-  void send_current(size_t thread_index, const paxos::Command& cmd);
-  void arm_timeout(size_t thread_index, uint64_t cmd_id);
+  void send_current(const paxos::Command& cmd);
 
   const paxos::StreamDirectory* directory_;
   Config config_;
   bool running_ = false;
   uint32_t seq_ = 1;
   std::vector<ThreadState> threads_;
-  std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
-  std::unordered_map<uint64_t, paxos::Command> commands_;  // for re-sends
+  sim::RetrySweep retry_;  // outstanding cmd id -> thread, and re-sends
 
   // Registry-owned handles, labelled {node=<name>}.
   obs::Timer* latency_;

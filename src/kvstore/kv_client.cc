@@ -13,7 +13,11 @@ KvClient::KvClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::stri
       directory_(directory),
       config_(std::move(config)),
       registry_client_(this, config_.registry),
-      rng_(config_.seed) {
+      rng_(config_.seed),
+      retry_(this, config_.retry_timeout, [this](size_t thread_index) {
+        retries_->add(now());
+        dispatch(thread_index);  // re-routed through the refreshed map
+      }) {
   const obs::Labels labels{{"node", this->name()}};
   latency_ = &metrics().timer("client.latency", labels);
   completions_ = &metrics().counter("client.completions", labels);
@@ -58,8 +62,7 @@ void KvClient::start() {
 
 void KvClient::stop() {
   running_ = false;
-  inflight_.clear();
-  commands_.clear();
+  retry_.clear();
 }
 
 KvOp KvClient::make_op() {
@@ -97,31 +100,23 @@ void KvClient::issue(size_t thread_index) {
   if (!running_) return;
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
   Outstanding& t = threads_[thread_index];
-  t.thread_index = thread_index;
-  t.cmd_id = cmd_id;
   t.op = make_op();
   t.sent_at = now();
   t.shards_received.clear();
   t.partial.clear();
   t.shards_expected = t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
-  t.done = false;
 
-  paxos::Command cmd;
-  cmd.kind = paxos::CommandKind::kApp;
-  cmd.id = cmd_id;
-  cmd.client = id();
-  cmd.payload = std::make_shared<const std::string>(t.op.encode());
-  inflight_[cmd_id] = thread_index;
-  commands_[cmd_id] = std::move(cmd);
+  t.cmd = paxos::Command{};
+  t.cmd.kind = paxos::CommandKind::kApp;
+  t.cmd.id = cmd_id;
+  t.cmd.client = id();
+  t.cmd.payload = std::make_shared<const std::string>(t.op.encode());
+  retry_.track(thread_index, cmd_id);
   dispatch(thread_index);
-  arm_timeout(thread_index, cmd_id);
 }
 
 void KvClient::dispatch(size_t thread_index) {
   Outstanding& t = threads_[thread_index];
-  auto cmd_it = commands_.find(t.cmd_id);
-  if (cmd_it == commands_.end()) return;
-
   StreamId stream = paxos::kInvalidStream;
   if (t.op.is_multi_partition()) {
     stream = global_stream_;
@@ -132,28 +127,14 @@ void KvClient::dispatch(size_t thread_index) {
   }
   if (stream == paxos::kInvalidStream || !directory_->has(stream)) return;
   if (spans().enabled()) {
-    spans().record(cmd_it->second.id, obs::SpanStage::kClientSend, now(), id(),
-                   stream);
+    spans().record(t.cmd.id, obs::SpanStage::kClientSend, now(), id(), stream);
   }
   send(directory_->get(stream).coordinator,
-       net::make_message<paxos::ClientProposeMsg>(stream, cmd_it->second));
-}
-
-void KvClient::arm_timeout(size_t thread_index, uint64_t cmd_id) {
-  after(config_.retry_timeout, [this, thread_index, cmd_id] {
-    if (!running_) return;
-    auto it = inflight_.find(cmd_id);
-    if (it == inflight_.end() || it->second != thread_index) return;
-    if (threads_[thread_index].done) return;
-    retries_->add(now());
-    dispatch(thread_index);  // re-routed through the refreshed map
-    arm_timeout(thread_index, cmd_id);
-  });
+       net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
 }
 
 void KvClient::complete(size_t thread_index, const std::string& get_value) {
   Outstanding& t = threads_[thread_index];
-  t.done = true;
   const Tick latency = now() - t.sent_at;
   latency_->record(now(), latency);
   completions_->add(now());
@@ -180,11 +161,9 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
   if (registry_client_.on_message(msg)) return;
   if (msg->type() != net::MsgType::kKvReply) return;
   const auto& reply = static_cast<const multicast::ReplyMsg&>(*msg);
-  auto it = inflight_.find(reply.command_id);
-  if (it == inflight_.end()) return;
-  const size_t thread_index = it->second;
+  const size_t thread_index = retry_.slot_of(reply.command_id);
+  if (thread_index == sim::RetrySweep::kNoSlot) return;  // answered already, or stopped
   Outstanding& t = threads_[thread_index];
-  if (t.done) return;
 
   if (t.op.is_multi_partition()) {
     if (!t.shards_received.insert(static_cast<uint32_t>(reply.shard)).second) return;
@@ -193,8 +172,7 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
     }
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
-  inflight_.erase(reply.command_id);
-  commands_.erase(reply.command_id);
+  retry_.settle(reply.command_id);
   if (spans().enabled()) {
     spans().record(reply.command_id, obs::SpanStage::kReply, now(), id(),
                    obs::kSpanNoStream);

@@ -12,7 +12,6 @@
 // map; the client assembles the full range.
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "checker/linearizability.h"
@@ -23,6 +22,7 @@
 #include "paxos/stream_directory.h"
 #include "registry/client.h"
 #include "sim/process.h"
+#include "sim/retry_sweep.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/timeseries.h"
@@ -77,23 +77,21 @@ class KvClient : public sim::Process {
 
  protected:
   void on_message(NodeId from, const MessagePtr& msg) override;
+  void on_crash() override { retry_.on_owner_crash(); }
 
  private:
   struct Outstanding {
-    size_t thread_index = 0;
-    uint64_t cmd_id = 0;
+    paxos::Command cmd;  // the thread's current command, kept for re-sends
     KvOp op;
     Tick sent_at = 0;
     std::unordered_set<uint32_t> shards_received;  // getrange partials
     size_t shards_expected = 1;
     std::vector<std::pair<std::string, std::string>> partial;
-    bool done = true;
   };
 
   void issue(size_t thread_index);
   void dispatch(size_t thread_index);
   void complete(size_t thread_index, const std::string& get_value);
-  void arm_timeout(size_t thread_index, uint64_t cmd_id);
   KvOp make_op();
 
   const paxos::StreamDirectory* directory_;
@@ -106,8 +104,7 @@ class KvClient : public sim::Process {
   uint32_t seq_ = 1;
 
   std::vector<Outstanding> threads_;
-  std::unordered_map<uint64_t, size_t> inflight_;  // cmd id -> thread
-  std::unordered_map<uint64_t, paxos::Command> commands_;
+  sim::RetrySweep retry_;  // outstanding cmd id -> thread, and re-sends
 
   // Registry-owned handles, labelled {node=<name>}.
   obs::Timer* latency_;

@@ -10,7 +10,6 @@ using net::MessagePtr;
 using net::MsgType;
 
 namespace {
-constexpr size_t kDedupWindow = 1 << 16;
 constexpr Tick kRetryInterval = 100 * kMillisecond;
 constexpr Tick kAcceptTimeout = 250 * kMillisecond;
 constexpr int kAttemptsBeforeNewBallot = 3;
@@ -131,37 +130,17 @@ void Coordinator::on_restart() {
   after(config_.params.leader_timeout, [this] { leader_monitor_tick(); });
 }
 
-void Coordinator::expire_dedup() {
-  // Strict TTL expiry, run on every insert (not only when a duplicate is
-  // looked up): the structure never holds an id older than dedup_ttl, so
-  // its size is bounded by admitted-rate x ttl regardless of traffic
-  // shape, with kDedupWindow as a hard backstop.
-  const Tick ttl = config_.params.dedup_ttl;
-  while (!recent_order_.empty() && now() - recent_order_.front().second > ttl) {
-    auto it = recent_ids_.find(recent_order_.front().first);
-    if (it != recent_ids_.end() && it->second == recent_order_.front().second) {
-      recent_ids_.erase(it);
-    }
-    recent_order_.pop_front();
-  }
-}
-
 bool Coordinator::dedup_seen(uint64_t command_id) {
   // Suppress only recent duplicates: after the TTL a client re-send is
   // admitted again, so a command whose first copy was lost (or ordered
   // before a merge point and discarded) can be re-ordered. The TTL must
-  // stay below the client retry timeout.
-  expire_dedup();
-  auto [it, inserted] = recent_ids_.try_emplace(command_id, now());
-  if (!inserted) return true;
-  recent_order_.emplace_back(command_id, now());
-  if (recent_order_.size() > kDedupWindow) {
-    auto front = recent_order_.front();
-    auto hit = recent_ids_.find(front.first);
-    if (hit != recent_ids_.end() && hit->second == front.second) recent_ids_.erase(hit);
-    recent_order_.pop_front();
-  }
-  return false;
+  // stay below the client retry timeout. Expiry runs on every insert
+  // (not only when a duplicate is looked up): the window never holds an
+  // id older than dedup_ttl, so its size is bounded by admitted-rate x
+  // ttl regardless of traffic shape, with kDedupWindow as a hard
+  // backstop.
+  recent_.expire_before(now() - config_.params.dedup_ttl);
+  return !recent_.insert(command_id, now());
 }
 
 void Coordinator::handle_client_propose(NodeId from, const ClientProposeMsg& msg) {

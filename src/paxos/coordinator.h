@@ -14,12 +14,12 @@
 
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "paxos/messages.h"
 #include "paxos/params.h"
 #include "paxos/slot_log.h"
 #include "sim/process.h"
+#include "util/id_window.h"
 
 namespace epx::paxos {
 
@@ -63,7 +63,7 @@ class Coordinator : public sim::Process {
   size_t outstanding() const { return outstanding_.size(); }
   /// Live entries in the duplicate-suppression structure (tests assert
   /// the admitted-rate x dedup_ttl bound).
-  size_t dedup_size() const { return recent_ids_.size(); }
+  size_t dedup_size() const { return recent_.size(); }
 
   /// Changes the admission throttle at run time (harness use).
   void set_admission_rate(double commands_per_sec);
@@ -102,7 +102,6 @@ class Coordinator : public sim::Process {
   void begin_takeover();
   void finish_takeover();
   bool dedup_seen(uint64_t command_id);
-  void expire_dedup();
 
   Config config_;
   Ballot ballot_;
@@ -129,9 +128,10 @@ class Coordinator : public sim::Process {
   InstanceId decided_contiguous_ = 0;
   SlotBitmap decided_sparse_;
 
-  // Duplicate suppression for client re-sends (id -> first-seen time).
-  std::unordered_map<uint64_t, Tick> recent_ids_;
-  std::deque<std::pair<uint64_t, Tick>> recent_order_;
+  // Duplicate suppression for client re-sends: ids first seen within
+  // dedup_ttl, at most kDedupWindow of them.
+  static constexpr size_t kDedupWindow = size_t{1} << 16;
+  util::IdWindow recent_{kDedupWindow};
 
   // Failover.
   Tick last_leader_sign_of_life_ = 0;

@@ -1,8 +1,10 @@
 // Integration tests of the partitioned key/value store: basic
 // operations, cross-partition getrange with signal coordination, online
 // split (the Fig. 4 scenario), wrong-partition discard + client re-send,
-// and snapshot-based state transfer.
+// snapshot-based state transfer, and the client's retry sweep.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "checker/linearizability.h"
 #include "harness/kv_cluster.h"
@@ -250,6 +252,92 @@ TEST_F(KvIntegrationTest, SnapshotTransfersStore) {
       kvc.cluster().spawn<kv::KvReplica>("joiner", &kvc.cluster().directory(), base, kvcfg);
   joiner->install_snapshot(snapshot);
   EXPECT_EQ(joiner->store(), donor->store());
+}
+
+/// One partition whose stream coordinator is replaced by a FakeStream,
+/// over jitter-free 200 us links: each proposal of the KvClient arrives
+/// exactly 200 us after it was sent.
+struct KvFakeStreamRig {
+  KvFakeStreamRig(size_t threads, Tick retry_timeout) : kvc(options()) {
+    const uint32_t partition = kvc.add_partition(1);
+    kvc.publish();
+    server = kvc.cluster().spawn<testing::FakeStream>("fake-coordinator");
+    kvc.cluster().directory().set_coordinator(kvc.stream_of(partition), server->id());
+    KvClient::Config cfg;
+    cfg.threads = threads;
+    cfg.key_space = 100;
+    cfg.value_bytes = 64;
+    cfg.retry_timeout = retry_timeout;
+    client = kvc.add_client(cfg);
+  }
+
+  static ClusterOptions options() {
+    ClusterOptions o;
+    o.link = {200 * kMicrosecond, 0};
+    return o;
+  }
+
+  KvCluster kvc;
+  testing::FakeStream* server = nullptr;
+  KvClient* client = nullptr;
+};
+
+TEST_F(KvIntegrationTest, ClientResendsAtExactMultiplesOfTheTimeoutInIssueOrder) {
+  // The serving side is down from the start: every thread's first
+  // command is re-sent every timeout, all threads at the same ticks, in
+  // the order they were issued.
+  constexpr Tick kTimeout = 100 * kMillisecond;
+  constexpr size_t kThreads = 6;
+  KvFakeStreamRig rig(kThreads, kTimeout);
+  rig.server->serving = false;
+  rig.client->start();
+  rig.kvc.cluster().run_for(1 * kSecond);
+  rig.client->stop();
+  rig.kvc.cluster().run_for(1 * kMillisecond);
+
+  const auto& arrivals = rig.server->arrivals;
+  ASSERT_EQ(arrivals.size(), kThreads);
+  uint64_t resends = 0;
+  for (const auto& [id, at] : arrivals) {
+    ASSERT_GE(at.size(), 9u) << id;
+    resends += at.size() - 1;
+    for (size_t k = 1; k < at.size(); ++k) {
+      EXPECT_EQ(at[k], at[0] + static_cast<Tick>(k) * kTimeout) << id << " re-send " << k;
+    }
+  }
+  EXPECT_EQ(rig.client->retries(), resends);
+  const auto& order = rig.server->arrival_order;
+  const std::vector<uint64_t> issued(order.begin(), order.begin() + kThreads);
+  EXPECT_TRUE(std::is_sorted(issued.begin(), issued.end()));
+  for (size_t at = kThreads; at + kThreads <= order.size(); at += kThreads) {
+    EXPECT_EQ(std::vector<uint64_t>(order.begin() + static_cast<long>(at),
+                                    order.begin() + static_cast<long>(at + kThreads)),
+              issued)
+        << "re-send round " << at / kThreads;
+  }
+}
+
+TEST_F(KvIntegrationTest, ClientStopEndsResendsAndIgnoresLateReplies) {
+  KvFakeStreamRig rig(4, 20 * kMillisecond);
+  rig.server->reply_delay = [](uint64_t) { return 30 * kMillisecond; };
+  rig.client->start();
+  rig.kvc.cluster().run_for(300 * kMillisecond);
+  ASSERT_GT(rig.client->retries(), 0u);
+  ASSERT_GT(rig.client->completed(), 0u);
+
+  rig.client->stop();
+  const Tick stopped_at = rig.kvc.cluster().now();
+  const uint64_t completed = rig.client->completed();
+  const uint64_t retries = rig.client->retries();
+  const uint64_t replies = rig.server->replies_sent;
+  rig.kvc.cluster().run_for(1 * kSecond);
+
+  EXPECT_GT(rig.server->replies_sent, replies) << "replies in flight at stop() still arrive";
+  EXPECT_EQ(rig.client->completed(), completed) << "but complete nothing";
+  EXPECT_EQ(rig.client->retries(), retries);
+  for (const auto& [id, at] : rig.server->arrivals) {
+    EXPECT_LE(at.back(), stopped_at + 200 * kMicrosecond) << "re-send after stop(): " << id;
+  }
 }
 
 }  // namespace

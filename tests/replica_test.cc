@@ -17,6 +17,76 @@ class ReplicaTest : public ::testing::Test {
   void SetUp() override { testing::init_logging(); }
 };
 
+/// Counts the replica replies addressed to it, per command id.
+class ReplyProbe : public sim::Process {
+ public:
+  using Process::Process;
+  uint64_t replies(uint64_t cmd_id) const {
+    auto it = replies_.find(cmd_id);
+    return it == replies_.end() ? 0 : it->second;
+  }
+
+ protected:
+  void on_message(net::NodeId, const net::MessagePtr& msg) override {
+    if (msg->type() != net::MsgType::kKvReply) return;
+    ++replies_[static_cast<const multicast::ReplyMsg&>(*msg).command_id];
+  }
+
+ private:
+  std::map<uint64_t, uint64_t> replies_;
+};
+
+/// One stream, one deduplicating replica with free apply, and a probe
+/// standing in for the client; commands are proposed straight to the
+/// coordinator.
+struct DedupRig {
+  DedupRig() : cluster(options()) {
+    stream = cluster.add_stream();
+    elastic::Replica::Config cfg;
+    cfg.group = 1;
+    cfg.initial_streams = {stream};
+    cfg.params = cluster.options().params;
+    cfg.apply_cpu_per_cmd = 0;
+    cfg.dedup_deliveries = true;
+    replica = cluster.add_replica(cfg);
+    probe = cluster.spawn<ReplyProbe>("probe");
+  }
+
+  static harness::ClusterOptions options() {
+    harness::ClusterOptions o;
+    o.params.coord_cpu_per_cmd = 0;
+    return o;
+  }
+
+  void propose(uint64_t cmd_id) {
+    paxos::Command cmd;
+    cmd.id = cmd_id;
+    cmd.client = probe->id();
+    cmd.payload_size = 16;
+    cluster.controller().send(cluster.directory().get(stream).coordinator,
+                              net::make_message<paxos::ClientProposeMsg>(stream, cmd));
+  }
+
+  /// Proposes `count` fresh ids (client 7, seq from `*next_seq`) in
+  /// chunks, letting each chunk drain before the next.
+  void propose_fresh(size_t count, uint32_t* next_seq) {
+    while (count > 0) {
+      const size_t chunk = std::min<size_t>(count, 4096);
+      for (size_t i = 0; i < chunk; ++i) propose(paxos::make_command_id(7, (*next_seq)++));
+      count -= chunk;
+      cluster.run_for(50 * kMillisecond);
+    }
+    // Past the coordinator's dedup TTL, so a later re-proposal of an
+    // old id is ordered again and reaches the replica.
+    cluster.run_for(cluster.options().params.dedup_ttl + 100 * kMillisecond);
+  }
+
+  harness::Cluster cluster;
+  paxos::StreamId stream = paxos::kInvalidStream;
+  elastic::Replica* replica = nullptr;
+  ReplyProbe* probe = nullptr;
+};
+
 TEST_F(ReplicaTest, DeliveryDedupSuppressesDuplicateOrderings) {
   Cluster cluster;
   const auto s1 = cluster.add_stream();
@@ -40,6 +110,42 @@ TEST_F(ReplicaTest, DeliveryDedupSuppressesDuplicateOrderings) {
   cluster.run_for(1 * kSecond);
   EXPECT_EQ(cluster.coordinator(s1)->commands_proposed(), 2u) << "both copies ordered";
   EXPECT_EQ(r1->delivered(), 1u) << "but delivered once";
+}
+
+TEST_F(ReplicaTest, DuplicateInsideWindowExecutesOnceAndIsReAcked) {
+  DedupRig rig;
+  const uint64_t x = paxos::make_command_id(5, 1);
+  uint32_t seq = 1;
+  rig.propose(x);
+  rig.cluster.run_for(10 * kMillisecond);  // x is ordered before every fresh id
+  rig.propose_fresh(100, &seq);
+  rig.propose(x);  // the client's re-send, ordered a second time
+  rig.cluster.run_for(1 * kSecond);
+  EXPECT_EQ(rig.replica->delivered(), 101u) << "the duplicate does not execute";
+  EXPECT_EQ(rig.probe->replies(x), 2u) << "but it is acknowledged again";
+}
+
+TEST_F(ReplicaTest, DedupForgetsAnIdAfterSeenWindowFirstSeenDeliveries) {
+  // Pins the window's exact reach: an id is remembered across
+  // kSeenWindow - 1 other first-seen deliveries and forgotten after
+  // kSeenWindow of them, when a re-send executes a second time.
+  constexpr size_t kWindow = elastic::Replica::kSeenWindow;
+  DedupRig rig;
+  const uint64_t x = paxos::make_command_id(5, 1);
+  uint32_t seq = 1;
+  rig.propose(x);
+  rig.cluster.run_for(10 * kMillisecond);  // x is ordered before every fresh id
+  rig.propose_fresh(kWindow - 1, &seq);
+  rig.propose(x);
+  rig.cluster.run_for(1 * kSecond);
+  ASSERT_EQ(rig.replica->delivered(), kWindow) << "still inside the window: suppressed";
+  EXPECT_EQ(rig.probe->replies(x), 2u);
+
+  rig.propose_fresh(1, &seq);  // the kSeenWindow-th other id evicts x
+  rig.propose(x);
+  rig.cluster.run_for(1 * kSecond);
+  EXPECT_EQ(rig.replica->delivered(), kWindow + 2) << "forgotten: executes again";
+  EXPECT_EQ(rig.probe->replies(x), 3u);
 }
 
 TEST_F(ReplicaTest, DedupDisabledDeliversBothCopies) {

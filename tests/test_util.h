@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -64,6 +65,42 @@ class DeliveryLog {
   std::mutex mu_;
   std::map<net::NodeId, std::vector<uint64_t>> sequences_;
   std::map<net::NodeId, std::vector<paxos::StreamId>> streams_;
+};
+
+/// Stands in for a stream's coordinator and replicas in client tests:
+/// records every client proposal it receives (the arrival ticks per
+/// command id, and the overall arrival order) and, while `serving`,
+/// answers each one after `reply_delay(id)` (at once when unset).
+class FakeStream : public sim::Process {
+ public:
+  using Process::Process;
+
+  bool serving = true;
+  std::function<Tick(uint64_t)> reply_delay;
+  std::map<uint64_t, std::vector<Tick>> arrivals;
+  std::vector<uint64_t> arrival_order;
+  uint64_t replies_sent = 0;
+
+ protected:
+  void on_message(net::NodeId, const net::MessagePtr& msg) override {
+    if (msg->type() != net::MsgType::kClientPropose) return;
+    const auto& propose = static_cast<const paxos::ClientProposeMsg&>(*msg);
+    const uint64_t id = propose.command.id;
+    const net::NodeId client = propose.command.client;
+    arrivals[id].push_back(now());
+    arrival_order.push_back(id);
+    if (!serving) return;
+    auto reply = [this, id, client] {
+      ++replies_sent;
+      send(client, net::make_message<multicast::ReplyMsg>(id, 0));
+    };
+    const Tick delay = reply_delay ? reply_delay(id) : 0;
+    if (delay > 0) {
+      after(delay, reply);
+    } else {
+      reply();
+    }
+  }
 };
 
 }  // namespace epx::testing

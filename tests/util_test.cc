@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <map>
 #include <set>
 
 #include "util/hash.h"
 #include "util/histogram.h"
+#include "util/id_window.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timeseries.h"
@@ -14,6 +17,9 @@
 
 namespace epx {
 namespace {
+
+/// Shaped like paxos::make_command_id(node, seq): client in the high word.
+uint64_t paxos_like_id(uint32_t seq) { return (uint64_t{9} << 32) | seq; }
 
 // ---------------------------------------------------------------- Rng --
 
@@ -392,6 +398,179 @@ TEST(HashTest, SimilarKeysSpreadAcrossSpace) {
     if (key_hash("key" + std::to_string(i)) > (~0ULL / 2)) ++upper;
   }
   EXPECT_NEAR(upper, n / 2, n / 10);
+}
+
+// --------------------------------------------------- IdTable / IdWindow --
+
+TEST(IdTableTest, DifferentialAgainstStdMapInASmallTable) {
+  // At most 8 live keys in 16 buckets: long runs that wrap past the
+  // last bucket, so backward-shift deletion moves entries across the
+  // wrap-around. The universe includes the id-0 side slot.
+  Rng rng(20170605);
+  util::IdTable<uint32_t> table;
+  std::map<uint64_t, uint32_t> ref;
+  std::vector<uint64_t> universe;
+  for (uint64_t id = 0; id < 48; ++id) universe.push_back(id);
+  for (int i = 0; i < 16; ++i) universe.push_back(rng.next() | 1);
+  uint64_t erases_with_wrapped_run = 0;
+  for (int op = 0; op < 120000; ++op) {
+    const uint64_t id = universe[rng.uniform(universe.size())];
+    if (ref.size() < 8 && rng.chance(0.5)) {
+      const auto value = static_cast<uint32_t>(rng.uniform(1000));
+      const bool fresh = ref.emplace(id, value).second;
+      ASSERT_EQ(table.insert(id, value), fresh) << "op " << op;
+    } else {
+      for (const auto& [key, value] : ref) {
+        if (key != 0 && table.bucket_of(key) < table.home(key)) {
+          ++erases_with_wrapped_run;
+          break;
+        }
+      }
+      ASSERT_EQ(table.erase(id), ref.erase(id) == 1) << "op " << op;
+    }
+    ASSERT_EQ(table.size(), ref.size());
+    ASSERT_EQ(table.bucket_count(), 16u) << "never grows at load <= 1/2";
+    for (uint64_t probe : universe) {
+      const uint32_t* found = table.find(probe);
+      auto it = ref.find(probe);
+      ASSERT_EQ(found != nullptr, it != ref.end()) << "op " << op << " id " << probe;
+      if (found != nullptr) {
+        ASSERT_EQ(*found, it->second);
+      }
+    }
+  }
+  EXPECT_GT(erases_with_wrapped_run, 1000u);
+}
+
+TEST(IdTableTest, GrowthRehashKeepsEveryKey) {
+  Rng rng(11);
+  util::IdSet set;
+  std::set<uint64_t> ref;
+  for (uint32_t seq = 1; seq <= 100000; ++seq) {
+    const uint64_t id = paxos_like_id(seq);
+    ASSERT_TRUE(set.insert(id));
+    ref.insert(id);
+  }
+  EXPECT_EQ(set.bucket_count(), size_t{1} << 18) << "doubled past load 1/2";
+  for (int i = 0; i < 50000; ++i) {
+    const uint64_t id = paxos_like_id(static_cast<uint32_t>(1 + rng.uniform(100000)));
+    ASSERT_EQ(set.erase(id), ref.erase(id) == 1);
+  }
+  ASSERT_EQ(set.size(), ref.size());
+  for (uint32_t seq = 1; seq <= 100000; ++seq) {
+    const uint64_t id = paxos_like_id(seq);
+    ASSERT_EQ(set.contains(id), ref.count(id) == 1) << seq;
+  }
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_EQ(set.size(), ref.size() + 1);
+}
+
+/// The std::set + std::deque window IdWindow replaced, kept as the
+/// reference model: count eviction after insert, age eviction by cutoff.
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(size_t capacity) : capacity_(capacity) {}
+  bool insert(uint64_t id, Tick at) {
+    if (!ids_.insert(id).second) return false;
+    order_.emplace_back(id, at);
+    if (order_.size() > capacity_) pop();
+    return true;
+  }
+  void expire_before(Tick cutoff) {
+    while (!order_.empty() && order_.front().second < cutoff) pop();
+  }
+  bool contains(uint64_t id) const { return ids_.count(id) == 1; }
+  size_t size() const { return ids_.size(); }
+
+ private:
+  void pop() {
+    ids_.erase(order_.front().first);
+    order_.pop_front();
+  }
+  size_t capacity_;
+  std::set<uint64_t> ids_;
+  std::deque<std::pair<uint64_t, Tick>> order_;
+};
+
+TEST(IdWindowTest, DifferentialAgainstSetAndDeque) {
+  // Three shapes, 100k+ seeded operations in all: a small window over a
+  // small universe (constant count eviction and duplicates, id 0
+  // included), a TTL-bound window (age eviction dominates), and a large
+  // window (table growth, ring growth and ring wrap-around).
+  struct Shape {
+    size_t capacity;
+    uint64_t universe;
+    double expire_chance;
+    int ops;
+  };
+  const Shape shapes[] = {{64, 200, 0.0, 40000}, {4096, 3000, 0.05, 40000},
+                          {1 << 14, 1 << 16, 0.0, 60000}};
+  Rng rng(42);
+  for (const Shape& shape : shapes) {
+    util::IdWindow window(shape.capacity);
+    ReferenceWindow ref(shape.capacity);
+    Tick now = 0;
+    uint64_t count_evictions = 0;
+    for (int op = 0; op < shape.ops; ++op) {
+      now += static_cast<Tick>(rng.uniform(4));
+      if (rng.chance(shape.expire_chance)) {
+        const Tick cutoff = now - static_cast<Tick>(rng.uniform(2000));
+        window.expire_before(cutoff);
+        ref.expire_before(cutoff);
+      } else {
+        const uint64_t id = rng.uniform(shape.universe);
+        const bool was_full = ref.size() == shape.capacity;
+        const bool fresh = ref.insert(id, now);
+        ASSERT_EQ(window.insert(id, now), fresh) << "op " << op << " id " << id;
+        if (fresh && was_full) ++count_evictions;
+      }
+      ASSERT_EQ(window.size(), ref.size()) << "op " << op;
+      ASSERT_LE(window.size(), shape.capacity);
+      const uint64_t probe = rng.uniform(shape.universe);
+      ASSERT_EQ(window.contains(probe), ref.contains(probe)) << "op " << op;
+      if (op % 4096 == 0) {
+        for (uint64_t id = 0; id < std::min<uint64_t>(shape.universe, 4096); ++id) {
+          ASSERT_EQ(window.contains(id), ref.contains(id)) << "op " << op << " id " << id;
+        }
+      }
+    }
+    if (shape.expire_chance == 0.0) {
+      EXPECT_GT(count_evictions, 0u) << shape.capacity;
+    }
+  }
+}
+
+TEST(IdWindowTest, CountEvictionAtExactlyTheWindowSize) {
+  util::IdWindow window(4);
+  for (uint64_t id = 1; id <= 4; ++id) EXPECT_TRUE(window.insert(id));
+  EXPECT_EQ(window.size(), 4u);
+  for (uint64_t id = 1; id <= 4; ++id) EXPECT_TRUE(window.contains(id)) << id;
+  EXPECT_FALSE(window.insert(1)) << "held ids are duplicates, and do not refresh";
+  EXPECT_TRUE(window.insert(5));  // the fifth first-seen id forgets the first
+  EXPECT_EQ(window.size(), 4u);
+  EXPECT_FALSE(window.contains(1));
+  EXPECT_TRUE(window.contains(2));
+  EXPECT_TRUE(window.insert(1)) << "forgotten, so first-seen again";
+  EXPECT_FALSE(window.contains(2));
+}
+
+TEST(IdWindowTest, TtlEvictionForgetsStrictlyOlderIds) {
+  util::IdWindow window(100);
+  EXPECT_TRUE(window.insert(0, 10));  // id 0 is an ordinary id
+  EXPECT_TRUE(window.insert(7, 20));
+  EXPECT_TRUE(window.insert(8, 20));
+  window.expire_before(10);
+  EXPECT_EQ(window.size(), 3u) << "first seen at the cutoff: kept";
+  window.expire_before(11);
+  EXPECT_FALSE(window.contains(0));
+  EXPECT_TRUE(window.contains(7));
+  EXPECT_TRUE(window.insert(0, 21));
+  window.expire_before(21);
+  EXPECT_EQ(window.size(), 1u);
+  EXPECT_TRUE(window.contains(0));
 }
 
 // -------------------------------------------------------------- Units --
