@@ -1,7 +1,8 @@
 #include "kvstore/kv_client.h"
 
+#include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -30,9 +31,14 @@ KvClient::KvClient(sim::Simulation* sim, sim::Network* net, NodeId id, std::stri
 }
 
 std::string KvClient::key_name(size_t index) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "key%010zu", index);
-  return buf;
+  // "key" + the index zero-padded to at least 10 digits.
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
+  const auto n = static_cast<size_t>(end - digits);
+  std::string name("key");
+  if (n < 10) name.append(10 - n, '0');
+  name.append(digits, n);
+  return name;
 }
 
 void KvClient::start() {
@@ -65,52 +71,50 @@ void KvClient::stop() {
   retry_.clear();
 }
 
-KvOp KvClient::make_op() {
-  KvOp op;
+std::string KvClient::make_payload() {
   const double dice = rng_.uniform_double();
   const size_t key_index = rng_.uniform(config_.key_space);
+  const auto no_value = [](char*) {};
   if (dice < config_.getrange_ratio) {
-    op.kind = OpKind::kGetRange;
-    const size_t start = key_index;
-    op.key = key_name(start);
-    op.end_key = key_name(std::min(start + config_.range_span, config_.key_space));
-  } else if (dice < config_.getrange_ratio + config_.get_ratio) {
-    op.kind = OpKind::kGet;
-    op.key = key_name(key_index);
-  } else {
-    op.kind = OpKind::kPut;
-    op.key = key_name(key_index);
-    // Unique value per put: required by the linearizability checker and
-    // padded to the configured size. Formatted into a flat buffer:
-    // string concatenation here trips GCC 12's -Wrestrict false
-    // positive (PR 105329) under -Werror.
-    char value_buf[24];
-    value_buf[0] = 'v';
-    const auto conv = std::to_chars(value_buf + 1, value_buf + sizeof(value_buf),
-                                    paxos::make_command_id(id(), seq_));
-    op.value.assign(value_buf, conv.ptr);
-    if (op.value.size() < config_.value_bytes) {
-      op.value.resize(config_.value_bytes, 'x');
-    }
+    const size_t end = std::min(key_index + config_.range_span, config_.key_space);
+    return encode_op(OpKind::kGetRange, key_name(key_index), 0, no_value, key_name(end));
   }
-  return op;
+  if (dice < config_.getrange_ratio + config_.get_ratio) {
+    return encode_op(OpKind::kGet, key_name(key_index), 0, no_value, {});
+  }
+  // Unique value per put (the linearizability checker needs it): "v"
+  // and a command id, padded with 'x' to the configured size, written
+  // straight into the payload.
+  char prefix[24];
+  prefix[0] = 'v';
+  const char* end =
+      std::to_chars(prefix + 1, prefix + sizeof(prefix), paxos::make_command_id(id(), seq_))
+          .ptr;
+  const auto prefix_len = static_cast<size_t>(end - prefix);
+  const size_t value_len = std::max(prefix_len, config_.value_bytes);
+  return encode_op(
+      OpKind::kPut, key_name(key_index), value_len,
+      [&](char* out) {
+        std::memcpy(out, prefix, prefix_len);
+        std::memset(out + prefix_len, 'x', value_len - prefix_len);
+      },
+      {});
 }
 
 void KvClient::issue(size_t thread_index) {
   if (!running_) return;
   const uint64_t cmd_id = paxos::make_command_id(id(), seq_++);
   Outstanding& t = threads_[thread_index];
-  t.op = make_op();
-  t.sent_at = now();
-  t.shards_received.clear();
-  t.partial.clear();
-  t.shards_expected = t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
-
   t.cmd = paxos::Command{};
   t.cmd.kind = paxos::CommandKind::kApp;
   t.cmd.id = cmd_id;
   t.cmd.client = id();
-  t.cmd.payload = std::make_shared<const std::string>(t.op.encode());
+  t.cmd.payload = std::make_shared<const std::string>(make_payload());
+  t.op = *KvOpView::parse(*t.cmd.payload);  // our own encoding always parses
+  t.sent_at = now();
+  t.shards_received.clear();
+  t.shards_expected =
+      t.op.is_multi_partition() ? std::max<size_t>(map_.partition_count(), 1) : 1;
   retry_.track(thread_index, cmd_id);
   dispatch(thread_index);
 }
@@ -133,7 +137,7 @@ void KvClient::dispatch(size_t thread_index) {
        net::make_message<paxos::ClientProposeMsg>(stream, t.cmd));
 }
 
-void KvClient::complete(size_t thread_index, const std::string& get_value) {
+void KvClient::complete(size_t thread_index, std::string_view get_value) {
   Outstanding& t = threads_[thread_index];
   const Tick latency = now() - t.sent_at;
   latency_->record(now(), latency);
@@ -167,9 +171,6 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
 
   if (t.op.is_multi_partition()) {
     if (!t.shards_received.insert(static_cast<uint32_t>(reply.shard)).second) return;
-    if (reply.payload) {
-      for (auto& pair : decode_pairs(*reply.payload)) t.partial.push_back(std::move(pair));
-    }
     if (t.shards_received.size() < t.shards_expected) return;  // waiting for more shards
   }
   retry_.settle(reply.command_id);
@@ -177,8 +178,9 @@ void KvClient::on_message(NodeId from, const MessagePtr& msg) {
     spans().record(reply.command_id, obs::SpanStage::kReply, now(), id(),
                    obs::kSpanNoStream);
   }
-  const std::string value = reply.payload && !t.op.is_multi_partition() ? *reply.payload : "";
-  complete(thread_index, value);
+  complete(thread_index, reply.payload && !t.op.is_multi_partition()
+                             ? std::string_view(*reply.payload)
+                             : std::string_view());
 }
 
 }  // namespace epx::kv

@@ -9,7 +9,11 @@
 //
 // getrange operations are multicast to the shared stream and complete
 // when a partial result has arrived from every partition in the current
-// map; the client assembles the full range.
+// map. The partials only count toward completion; their pairs are not
+// decoded or assembled.
+//
+// Each operation is encoded once, straight into its Command payload;
+// the thread keeps views into that payload (see DESIGN.md §19).
 #pragma once
 
 #include <unordered_set>
@@ -82,17 +86,17 @@ class KvClient : public sim::Process {
  private:
   struct Outstanding {
     paxos::Command cmd;  // the thread's current command, kept for re-sends
-    KvOp op;
+    KvOpView op;         // views into *cmd.payload
     Tick sent_at = 0;
     std::unordered_set<uint32_t> shards_received;  // getrange partials
     size_t shards_expected = 1;
-    std::vector<std::pair<std::string, std::string>> partial;
   };
 
   void issue(size_t thread_index);
   void dispatch(size_t thread_index);
-  void complete(size_t thread_index, const std::string& get_value);
-  KvOp make_op();
+  void complete(size_t thread_index, std::string_view get_value);
+  /// Draws the next operation and encodes it as a Command payload.
+  std::string make_payload();
 
   const paxos::StreamDirectory* directory_;
   Config config_;

@@ -4,6 +4,40 @@
 
 namespace epx::kv {
 
+std::optional<std::string_view> KvStore::get(std::string_view key) const {
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second.bytes;
+}
+
+std::vector<std::pair<std::string, std::string>> KvStore::pairs() const {
+  std::vector<std::pair<std::string, std::string>> out;
+  out.reserve(map_.size());
+  for (const auto& [key, value] : map_) out.emplace_back(key, value.bytes);
+  return out;
+}
+
+std::string KvStore::encode() const {
+  return encode_pair_range(map_.begin(), map_.end(), view);
+}
+
+std::string KvStore::encode_range(std::string_view lo, std::string_view hi,
+                                  size_t* count) const {
+  const auto first = map_.lower_bound(lo);
+  const auto last = lo < hi ? map_.lower_bound(hi) : first;
+  return encode_pair_range(first, last, view, count);
+}
+
+void KvStore::put(std::string_view key, std::string_view value,
+                  const std::shared_ptr<const std::string>& owner, bool overwrite) {
+  const auto it = map_.lower_bound(key);
+  if (it != map_.end() && it->first == key) {
+    if (overwrite) it->second = Value{owner, value};
+    return;
+  }
+  map_.emplace_hint(it, std::string(key), Value{owner, value});
+}
+
 KvReplica::KvReplica(sim::Simulation* sim, sim::Network* net, NodeId id, std::string name,
                      const paxos::StreamDirectory* directory, Replica::Config base,
                      KvConfig kv_config)
@@ -35,36 +69,32 @@ void KvReplica::set_ownership(uint32_t partition_id, uint64_t hash_lo, uint64_t 
 void KvReplica::set_peers(std::vector<PeerReplica> peers) { peers_ = std::move(peers); }
 
 size_t KvReplica::purge_unowned() {
-  size_t purged = 0;
-  for (auto it = store_.begin(); it != store_.end();) {
-    if (!owns(key_hash(it->first))) {
-      it = store_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
+  const size_t purged =
+      store_.erase_if([this](std::string_view key) { return !owns(key_hash(key)); });
   charge(static_cast<Tick>(purged) * kv_config_.scan_cpu_per_key);
   return purged;
 }
 
 void KvReplica::install_snapshot(const SnapshotReplyMsg& snapshot) {
-  if (snapshot.store) absorb_store(*snapshot.store, /*overwrite=*/true);
+  if (snapshot.store) absorb_store(snapshot.store, /*overwrite=*/true);
   for (const auto& [stream, pos] : snapshot.stream_positions) {
     merger().queue(stream).fast_forward(pos);
   }
 }
 
-void KvReplica::absorb_store(const std::string& encoded_pairs, bool overwrite) {
-  auto pairs = decode_pairs(encoded_pairs);
-  charge(static_cast<Tick>(pairs.size()) * kv_config_.scan_cpu_per_key);
-  for (auto& [k, v] : pairs) {
-    if (overwrite) {
-      store_[std::move(k)] = std::move(v);
-    } else {
-      store_.try_emplace(std::move(k), std::move(v));
-    }
+void KvReplica::absorb_store(const std::shared_ptr<const std::string>& encoded_pairs,
+                             bool overwrite) {
+  size_t absorbed = 0;
+  const bool whole =
+      visit_pairs(*encoded_pairs, [&](std::string_view k, std::string_view v) {
+        store_.put(k, v, encoded_pairs, overwrite);
+        ++absorbed;
+      });
+  if (!whole) {
+    EPX_WARN << name() << ": malformed store blob, absorbed its first " << absorbed
+             << " pairs";
   }
+  charge(static_cast<Tick>(absorbed) * kv_config_.scan_cpu_per_key);
 }
 
 void KvReplica::join_via(NodeId donor) {
@@ -79,16 +109,23 @@ void KvReplica::join_via(NodeId donor) {
 
 void KvReplica::on_kv_deliver(const Command& cmd) {
   if (!cmd.payload) return;
-  KvOp op = KvOp::decode(*cmd.payload);
-  if (!op.is_multi_partition()) {
+  const std::optional<KvOpView> op = KvOpView::parse(*cmd.payload);
+  if (!op) {
+    // Executing a half-decoded op would corrupt the store; drop it.
+    EPX_WARN << name() << ": dropping command " << cmd.id << " with a malformed "
+             << cmd.payload->size() << "-byte KV payload";
+    return;
+  }
+  if (!op->is_multi_partition()) {
     // Single-partition commands never need to wait; but ordering with a
     // blocked multi-partition command ahead of them must be preserved.
     if (exec_queue_.empty()) {
-      execute(cmd, op);
+      execute(cmd, *op);
       return;
     }
   }
-  exec_queue_.push_back(PendingExec{cmd, std::move(op), false});
+  // The queued copy of `cmd` shares its payload, so the views stay valid.
+  exec_queue_.push_back(PendingExec{cmd, *op, false});
   drain_exec_queue();
 }
 
@@ -127,7 +164,7 @@ bool KvReplica::signals_complete(uint64_t command_id) const {
   return true;
 }
 
-void KvReplica::execute(const Command& cmd, const KvOp& op) {
+void KvReplica::execute(const Command& cmd, const KvOpView& op) {
   if (op.is_multi_partition()) {
     execute_getrange(cmd, op);
   } else {
@@ -135,7 +172,7 @@ void KvReplica::execute(const Command& cmd, const KvOp& op) {
   }
 }
 
-void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
+void KvReplica::execute_single(const Command& cmd, const KvOpView& op) {
   if (!owns(op.hash())) {
     // Wrong partition (command raced a re-partitioning): discard; the
     // client re-sends to the correct partition after its timeout.
@@ -145,15 +182,15 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
   executed_->add(now());
   switch (op.kind) {
     case OpKind::kPut:
-      store_[op.key] = op.value;
+      store_.put(op.key, op.value, cmd.payload);  // pins the payload: no copy
       reply(cmd, 0);
       break;
     case OpKind::kGet: {
-      auto it = store_.find(op.key);
-      if (it == store_.end()) {
+      const std::optional<std::string_view> value = store_.get(op.key);
+      if (!value) {
         reply(cmd, 1);
       } else {
-        reply(cmd, 0, std::make_shared<const std::string>(it->second));
+        reply(cmd, 0, std::make_shared<const std::string>(*value));
       }
       break;
     }
@@ -162,19 +199,14 @@ void KvReplica::execute_single(const Command& cmd, const KvOp& op) {
   }
 }
 
-void KvReplica::execute_getrange(const Command& cmd, const KvOp& op) {
+void KvReplica::execute_getrange(const Command& cmd, const KvOpView& op) {
   executed_->add(now());
-  std::vector<std::pair<std::string, std::string>> result;
-  auto it = store_.lower_bound(op.key);
   size_t visited = 0;
-  for (; it != store_.end() && it->first < op.end_key; ++it) {
-    result.emplace_back(it->first, it->second);
-    ++visited;
-  }
-  charge(static_cast<Tick>(visited) * kv_config_.scan_cpu_per_key);
   auto msg = net::make_mutable_message<multicast::ReplyMsg>(cmd.id, 0);
   msg->shard = kv_config_.partition_id;
-  msg->payload = std::make_shared<const std::string>(encode_pairs(result));
+  msg->payload = std::make_shared<const std::string>(
+      store_.encode_range(op.key, op.end_key, &visited));
+  charge(static_cast<Tick>(visited) * kv_config_.scan_cpu_per_key);
   if (cmd.client != net::kInvalidNode) send(cmd.client, std::move(msg));
 }
 
@@ -215,15 +247,13 @@ void KvReplica::on_app_message(NodeId from, const MessagePtr& msg) {
       reply_msg->clean =
           merger().phase() == elastic::ElasticMerger::Phase::kNormal;
       if (reply_msg->clean) {
-        std::vector<std::pair<std::string, std::string>> pairs(store_.begin(),
-                                                               store_.end());
-        reply_msg->store = std::make_shared<const std::string>(encode_pairs(pairs));
+        reply_msg->store = std::make_shared<const std::string>(store_.encode());
         snapshot_bytes_->add(now(), reply_msg->store->size());
         for (StreamId s : merger().subscriptions()) {
           reply_msg->stream_positions.emplace_back(s, merger().queue(s).next_index());
         }
         reply_msg->next_stream = merger().current_stream();
-        charge(static_cast<Tick>(pairs.size()) * kv_config_.scan_cpu_per_key);
+        charge(static_cast<Tick>(store_.size()) * kv_config_.scan_cpu_per_key);
       }
       send(from, std::move(reply_msg));
       break;
@@ -234,7 +264,7 @@ void KvReplica::on_app_message(NodeId from, const MessagePtr& msg) {
       if (!snapshot.clean) break;  // the retry timer asks again
       joined_ = true;
       join_donor_ = net::kInvalidNode;
-      if (snapshot.store) absorb_store(*snapshot.store, /*overwrite=*/true);
+      if (snapshot.store) absorb_store(snapshot.store, /*overwrite=*/true);
       std::vector<std::pair<StreamId, paxos::SlotIndex>> cut;
       for (const auto& [stream, pos] : snapshot.stream_positions) {
         cut.emplace_back(stream, pos);

@@ -14,6 +14,8 @@
 #pragma once
 
 #include <map>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -28,6 +30,56 @@ using elastic::Command;
 using net::MessagePtr;
 using net::NodeId;
 using paxos::StreamId;
+
+/// A replica's key/value map. Values are not copied in: each is a view
+/// into the buffer that carried it (the delivered put payload or an
+/// absorbed snapshot), and its entry shares ownership of that buffer
+/// (DESIGN.md §19).
+class KvStore {
+ public:
+  size_t size() const { return map_.size(); }
+  /// The value under `key`; the view is valid until the key is next
+  /// written or erased.
+  std::optional<std::string_view> get(std::string_view key) const;
+  /// Every pair, copied, in key order.
+  std::vector<std::pair<std::string, std::string>> pairs() const;
+  /// encode_pairs() bytes of the whole store, in one exact-size buffer.
+  std::string encode() const;
+  /// encode_pairs() bytes of the keys in [lo, hi); `*count` gets their
+  /// number.
+  std::string encode_range(std::string_view lo, std::string_view hi, size_t* count) const;
+
+  /// Stores `value`, which must lie inside `*owner`, under `key`. An
+  /// existing key keeps its value unless `overwrite`.
+  void put(std::string_view key, std::string_view value,
+           const std::shared_ptr<const std::string>& owner, bool overwrite = true);
+  /// Erases every key for which `drop(key)` holds; returns how many.
+  template <typename Drop>
+  size_t erase_if(Drop&& drop) {
+    size_t erased = 0;
+    for (auto it = map_.begin(); it != map_.end();) {
+      if (drop(std::string_view(it->first))) {
+        it = map_.erase(it);
+        ++erased;
+      } else {
+        ++it;
+      }
+    }
+    return erased;
+  }
+
+ private:
+  struct Value {
+    std::shared_ptr<const std::string> owner;  // keeps `bytes` alive
+    std::string_view bytes;
+  };
+  using Map = std::map<std::string, Value, std::less<>>;
+  static std::pair<std::string_view, std::string_view> view(const Map::value_type& kv) {
+    return {kv.first, kv.second.bytes};
+  }
+
+  Map map_;
+};
 
 struct PeerReplica {
   NodeId node = net::kInvalidNode;
@@ -63,7 +115,7 @@ class KvReplica : public elastic::Replica {
   bool owns(uint64_t hash) const {
     return hash >= kv_config_.hash_lo && hash <= kv_config_.hash_hi;
   }
-  const std::map<std::string, std::string>& store() const { return store_; }
+  const KvStore& store() const { return store_; }
   // Registry-backed: `kv.executed{node=}`, `kv.discarded{node=}`.
   uint64_t executed() const { return executed_->total(); }
   uint64_t discarded_wrong_partition() const { return discarded_->total(); }
@@ -83,11 +135,13 @@ class KvReplica : public elastic::Replica {
   void join_via(NodeId donor);
   bool joined() const { return joined_; }
 
-  /// Adds a peer's key/value pairs to the local store. With
-  /// `overwrite` false, existing keys win — the correct mode when
-  /// absorbing an older shard's data after a merge (local values are
-  /// newer by construction).
-  void absorb_store(const std::string& encoded_pairs, bool overwrite);
+  /// Adds a peer's key/value pairs (an encode_pairs() buffer, which the
+  /// store then pins) to the local store. With `overwrite` false,
+  /// existing keys win — the correct mode when absorbing an older
+  /// shard's data after a merge (local values are newer by
+  /// construction).
+  void absorb_store(const std::shared_ptr<const std::string>& encoded_pairs,
+                    bool overwrite);
 
  protected:
   void on_app_message(NodeId from, const MessagePtr& msg) override;
@@ -95,21 +149,21 @@ class KvReplica : public elastic::Replica {
  private:
   struct PendingExec {
     Command cmd;
-    KvOp op;
+    KvOpView op;             ///< views into *cmd.payload
     bool signalled = false;  ///< our signal batch was sent
   };
 
   void on_kv_deliver(const Command& cmd);
   void drain_exec_queue();
-  void execute(const Command& cmd, const KvOp& op);
-  void execute_single(const Command& cmd, const KvOp& op);
-  void execute_getrange(const Command& cmd, const KvOp& op);
+  void execute(const Command& cmd, const KvOpView& op);
+  void execute_single(const Command& cmd, const KvOpView& op);
+  void execute_getrange(const Command& cmd, const KvOpView& op);
   bool signals_complete(uint64_t command_id) const;
   void reply(const Command& cmd, uint8_t status,
              std::shared_ptr<const std::string> payload = nullptr);
 
   KvConfig kv_config_;
-  std::map<std::string, std::string> store_;
+  KvStore store_;
   std::vector<PeerReplica> peers_;
   std::deque<PendingExec> exec_queue_;
   std::unordered_map<uint64_t, std::unordered_set<uint32_t>> signals_;

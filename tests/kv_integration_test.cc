@@ -57,7 +57,7 @@ TEST_F(KvIntegrationTest, PutAndGetSinglePartition) {
   // Both replicas applied the same writes.
   auto replicas = kvc.replicas();
   ASSERT_EQ(replicas.size(), 2u);
-  EXPECT_EQ(replicas[0]->store(), replicas[1]->store());
+  EXPECT_EQ(replicas[0]->store().pairs(), replicas[1]->store().pairs());
 }
 
 TEST_F(KvIntegrationTest, TwoPartitionsServeDisjointKeys) {
@@ -83,8 +83,8 @@ TEST_F(KvIntegrationTest, TwoPartitionsServeDisjointKeys) {
   EXPECT_GT(r1->executed(), 0u);
   EXPECT_GT(r2->executed(), 0u);
   // Disjoint ownership: no key stored on both replicas.
-  for (const auto& [key, value] : r1->store()) {
-    EXPECT_EQ(r2->store().count(key), 0u) << key << " stored on both partitions";
+  for (const auto& [key, value] : r1->store().pairs()) {
+    EXPECT_FALSE(r2->store().get(key).has_value()) << key << " stored on both partitions";
   }
 }
 
@@ -176,7 +176,7 @@ TEST_F(KvIntegrationTest, OnlineSplitKeepsServiceAvailable) {
   // (client raced the map change) — the paper's §VII-D behaviour —
   // OR the flip was clean; both are acceptable, but ownership must be
   // disjoint now.
-  for (const auto& [key, value] : mover->store()) {
+  for (const auto& [key, value] : mover->store().pairs()) {
     EXPECT_TRUE(mover->owns(key_hash(key)));
   }
   EXPECT_EQ(kvc.cluster().sim().monitors().violation_count(), 0u)
@@ -235,10 +235,8 @@ TEST_F(KvIntegrationTest, SnapshotTransfersStore) {
   ASSERT_GT(donor->store().size(), 0u);
 
   // Simulate the state-transfer payload round-trip.
-  std::vector<std::pair<std::string, std::string>> pairs(donor->store().begin(),
-                                                         donor->store().end());
   kv::SnapshotReplyMsg snapshot;
-  snapshot.store = std::make_shared<const std::string>(kv::encode_pairs(pairs));
+  snapshot.store = std::make_shared<const std::string>(donor->store().encode());
   for (auto s : donor->merger().subscriptions()) {
     snapshot.stream_positions.emplace_back(s, donor->merger().queue(s).next_index());
   }
@@ -251,7 +249,7 @@ TEST_F(KvIntegrationTest, SnapshotTransfersStore) {
   auto* joiner =
       kvc.cluster().spawn<kv::KvReplica>("joiner", &kvc.cluster().directory(), base, kvcfg);
   joiner->install_snapshot(snapshot);
-  EXPECT_EQ(joiner->store(), donor->store());
+  EXPECT_EQ(joiner->store().pairs(), donor->store().pairs());
 }
 
 /// One partition whose stream coordinator is replaced by a FakeStream,

@@ -145,7 +145,7 @@ TEST_F(LifecycleTest, ReplicaJoinsRunningGroupViaSnapshot) {
 
   // The joiner converged to the same store as the donor.
   EXPECT_GT(joiner->executed(), 0u) << "joiner must execute post-join commands";
-  EXPECT_EQ(joiner->store(), donor->store());
+  EXPECT_EQ(joiner->store().pairs(), donor->store().pairs());
 }
 
 TEST_F(LifecycleTest, OnlineShardMergeCombinesPartitions) {
